@@ -38,11 +38,16 @@ use sps_workload::{Job, SyntheticConfig, SystemPreset};
 
 /// Forwarding decorator that records wall nanoseconds per `decide`.
 ///
-/// Deliberately does NOT forward `quiescent_noop`, so the decorated
-/// policy keeps the default `false` and the simulator never elides idle
-/// ticks in timed runs: every decide the wrapped policy would have been
-/// asked for is still timed, keeping these numbers comparable across
-/// kernels with and without elision.
+/// Deliberately forwards neither `quiescent_noop` nor `next_tick_action`,
+/// so the decorated policy keeps the defaults (`false`, and "a tick may
+/// act now") and the simulator elides no tick in timed runs: every
+/// decide the wrapped policy would have been asked for is still timed,
+/// and the event count the events/sec figure divides by (taken from a
+/// traced, hence un-elided, run) is the one the timed run delivers. That
+/// keeps these numbers, their `BENCH_kernel.json` history and the
+/// `--guard` baseline comparable across kernels with and without either
+/// kind of elision; the end-to-end effect of elision is measured by the
+/// repository benchmark instead.
 struct Timed {
     inner: Box<dyn Policy>,
     ns: Rc<RefCell<Vec<u64>>>,

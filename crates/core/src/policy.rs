@@ -15,6 +15,7 @@
 
 use sps_cluster::ProcSet;
 use sps_metrics::JobOutcome;
+use sps_simcore::SimTime;
 use sps_telemetry::TelemetryCtx;
 use sps_trace::TraceCtx;
 use sps_workload::JobId;
@@ -110,6 +111,21 @@ pub trait Policy {
     /// running or not.
     fn quiescent_noop(&self) -> bool {
         false
+    }
+
+    /// The earliest instant at which a decide *on a tick* could act on the
+    /// current state if no event (arrival, completion, drain) intervenes
+    /// before it; `None` if it cannot act before the next event. Consulted
+    /// after each instant only when the run elides ticks (see
+    /// [`Simulator::with_tick_elision`](crate::sim::Simulator::with_tick_elision))
+    /// and the policy certifies [`Policy::quiescent_noop`]: the run loop
+    /// then skips the ticks before the returned instant and arms the first
+    /// one at or after it. The answer may be early — an early tick is an
+    /// exact re-check — but never late: every tick the run skips must be
+    /// a decide that returns no actions and mutates no policy state. The
+    /// default, `now`, skips nothing.
+    fn next_tick_action(&mut self, state: &SimState) -> Option<SimTime> {
+        Some(state.now())
     }
 
     /// Decide whether to admit an arriving job when admission control is

@@ -20,6 +20,7 @@
 
 use std::collections::HashMap;
 
+use sps_cluster::ProcSet;
 use sps_metrics::JobOutcome;
 use sps_simcore::{Secs, SimTime};
 use sps_telemetry::Obs;
@@ -35,8 +36,12 @@ pub const DEFAULT_TIMESLICE: Secs = 600;
 
 /// Per-decide scratch buffers, reused across calls (see
 /// [`planner::DecideArena`] for the rationale).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct IsScratch {
+    /// The working pool for [`Policy::next_tick_action`].
+    pool: ProcSet,
+    /// (protection end, width) of protected running jobs.
+    lapses: Vec<(SimTime, u32)>,
     /// The running-job victim mirror, rebuilt lazily per decide.
     table: VictimTable,
     /// (priority, index) victim candidates for the current waiter.
@@ -49,6 +54,21 @@ struct IsScratch {
     waiting: Vec<JobId>,
     /// (priority, id) re-entry order for suspended jobs.
     suspended: Vec<(f64, JobId)>,
+}
+
+impl Default for IsScratch {
+    fn default() -> Self {
+        IsScratch {
+            pool: ProcSet::empty(0),
+            lapses: Vec::new(),
+            table: VictimTable::default(),
+            victims: Vec::new(),
+            chosen: Vec::new(),
+            started: Vec::new(),
+            waiting: Vec::new(),
+            suspended: Vec::new(),
+        }
+    }
 }
 
 /// Immediate Service dispatcher.
@@ -101,18 +121,57 @@ impl Policy for ImmediateService {
         true
     }
 
-    fn decide(&mut self, state: &SimState, ctx: &DecideCtx<'_>, actions: &mut Vec<Action>) {
-        // Fast certification of the common no-op tick: with nothing
-        // waiting, the decide can only retry re-entries, and a suspended
-        // job resumes only when its exact processors are free — `procs`
-        // within the working pool is a necessary condition. When no
-        // suspended job passes it, nothing below can act (trace records
-        // and protection grants are tied to actions), so skip the scan.
-        if !ctx.reference && ctx.arrivals.is_empty() && state.queued().is_empty() {
-            let wf = state.free_count() + state.draining_set().count();
-            if !state.suspended().iter().any(|&id| state.width(id) <= wf) {
-                return;
+    // IS acts on every decide, tick or not: a waiter starts in the pool
+    // or preempts unprotected running jobs, and a suspended job resumes
+    // once its exact processors are in the pool. Between events only
+    // protection changes, and it only lapses — so the first action is
+    // now, or the lapse that first lets the narrowest waiter in.
+    fn next_tick_action(&mut self, state: &SimState) -> Option<SimTime> {
+        let now = state.now();
+        let scratch = &mut self.scratch;
+        planner::working_free_set_into(state, &mut scratch.pool);
+        let resumable = state.suspended().iter().any(|&id| {
+            state
+                .assigned_set(id)
+                .expect("suspended job keeps its set")
+                .is_subset(&scratch.pool)
+        });
+        if resumable {
+            return Some(now);
+        }
+        let need = state.queued().iter().map(|&id| state.width(id)).min()?;
+        let mut have = scratch.pool.count();
+        scratch.lapses.clear();
+        for &id in state.running() {
+            match self.protected_until.get(&id) {
+                Some(&until) if now < until => scratch.lapses.push((until, state.width(id))),
+                _ => have += state.width(id),
             }
+        }
+        if have >= need {
+            return Some(now);
+        }
+        scratch.lapses.sort_unstable();
+        for &(until, procs) in &scratch.lapses {
+            have += procs;
+            if have >= need {
+                return Some(until);
+            }
+        }
+        None
+    }
+
+    fn decide(&mut self, state: &SimState, ctx: &DecideCtx<'_>, actions: &mut Vec<Action>) {
+        // Fast certification of the common no-op decide: with nothing
+        // waiting, only re-entries can act, and [`Policy::next_tick_action`]
+        // answers exactly whether one can (trace records and protection
+        // grants are tied to actions), so skip the scan when it cannot.
+        if !ctx.reference
+            && ctx.arrivals.is_empty()
+            && state.queued().is_empty()
+            && self.next_tick_action(state).is_none()
+        {
+            return;
         }
         let now = state.now();
         // Per-decide scratch, reused across calls so the decide path

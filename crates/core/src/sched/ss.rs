@@ -30,6 +30,7 @@
 
 use sps_cluster::ProcSet;
 use sps_metrics::JobOutcome;
+use sps_simcore::{Secs, SimTime};
 use sps_telemetry::Obs;
 use sps_trace::Reason;
 use sps_workload::{Category, JobId};
@@ -122,6 +123,138 @@ impl SelectiveSuspension {
         let xf = state.xfactor(victim);
         (xf > limit).then_some((cat, xf, limit))
     }
+
+    /// Whether some idle job is no wider than the working pool (free ∪
+    /// draining): necessary for any placement or victim-free re-entry,
+    /// since both need `procs` processors out of that pool.
+    fn may_place(state: &SimState) -> bool {
+        let wf = state.free_count() + state.draining_set().count();
+        state
+            .queued()
+            .iter()
+            .chain(state.suspended())
+            .any(|&id| state.width(id) <= wf)
+    }
+
+    /// The earliest instant at which some idle job's xfactor reaches SF ×
+    /// the cheapest running xfactor: `now` if one already has, `None` with
+    /// nothing running. Necessary for any victim to qualify, because the
+    /// width rule, TSS limits and overlap checks only remove candidates.
+    /// Running xfactors are frozen and idle ones grow along
+    /// [`SimState::xfactor_line`], so each crossing has a closed form; it
+    /// is rounded down, less a second of margin for the decide's
+    /// floating-point comparison, so the answer is never late.
+    fn first_qualification(&self, state: &SimState) -> Option<SimTime> {
+        let min_run = state
+            .running()
+            .iter()
+            .map(|&id| state.xfactor(id))
+            .fold(f64::INFINITY, f64::min);
+        if !min_run.is_finite() {
+            return None;
+        }
+        let bar = self.cfg.sf * min_run;
+        let mut first: Option<Secs> = None;
+        for &id in state.queued().iter().chain(state.suspended()) {
+            if state.xfactor(id) >= bar {
+                return Some(state.now());
+            }
+            // (wait + d + est) / est >= bar  ⇔  d >= bar·est − est − wait.
+            let (wait, est) = state.xfactor_line(id);
+            let d = (bar * est as f64 - (est + wait) as f64).floor() as Secs - 1;
+            first = Some(first.map_or(d, |f| f.min(d)));
+        }
+        first.map(|d| state.now() + d.max(1))
+    }
+
+    /// The earliest instant at which a placement without victims could
+    /// happen: `now` if one can already, `None` if none can before the
+    /// next event. A fresh job fits iff its width is at most the pool
+    /// minus the claims of the suspended jobs ahead of it in priority
+    /// order (the decide's `blocked` set); with no action taken, nothing
+    /// else changes the pool. That count only grows when the fresh job
+    /// overtakes one of those suspended jobs, so the answer is the first
+    /// such crossing of two xfactor lines, rounded down like
+    /// [`Self::first_qualification`]. Resuming in place needs no time at
+    /// all: the claim is inside the pool or it is not.
+    fn first_placement(&mut self, state: &SimState) -> Option<SimTime> {
+        let now = state.now();
+        let migration = self.cfg.migration;
+        let pinned = |id: JobId| !migration && !state.can_remap(id);
+        let arena = &mut self.arena;
+        planner::working_free_set_into(state, &mut arena.free);
+        let pool = arena.free.count();
+        // `idle` holds the pinned suspended jobs whose claims meet the
+        // pool — the only ones that block anything — in decide order.
+        arena.idle.clear();
+        for &sid in state.suspended() {
+            if !pinned(sid) {
+                continue;
+            }
+            let claim = state
+                .assigned_set(sid)
+                .expect("suspended job keeps its set");
+            if !state.is_stranded(sid) && claim.is_subset(&arena.free) {
+                return Some(now);
+            }
+            if claim.overlaps(&arena.free) {
+                arena.idle.push((state.xfactor(sid), sid));
+            }
+        }
+        arena
+            .idle
+            .sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        // `indices[k]`: pool processors outside the first `k` claims.
+        arena.indices.clear();
+        arena.indices.push(pool as usize);
+        arena.missing.copy_from(&arena.free);
+        for &(_, sid) in &arena.idle {
+            arena.missing.subtract(
+                state
+                    .assigned_set(sid)
+                    .expect("suspended job keeps its set"),
+            );
+            arena.indices.push(arena.missing.count() as usize);
+        }
+        let fresh = state
+            .queued()
+            .iter()
+            .chain(state.suspended().iter().filter(|&&id| !pinned(id)));
+        let mut first: Option<Secs> = None;
+        for &id in fresh {
+            let need = state.width(id);
+            if need > pool {
+                continue;
+            }
+            let xf = state.xfactor(id);
+            let ahead = arena
+                .idle
+                .partition_point(|&(sx, sid)| sx.total_cmp(&xf).then(id.cmp(&sid)).is_gt());
+            if need as usize <= arena.indices[ahead] {
+                return Some(now);
+            }
+            let (wj, ej) = state.xfactor_line(id);
+            for &(_, sid) in &arena.idle[..ahead] {
+                let (ws, es) = state.xfactor_line(sid);
+                if ej >= es {
+                    continue; // grows no faster: never catches up
+                }
+                // (wj + d) / ej = (ws + d) / es  ⇔  d = (ws·ej − wj·es) / (es − ej).
+                let num = i128::from(ws) * i128::from(ej) - i128::from(wj) * i128::from(es);
+                let d = num.div_euclid(i128::from(es - ej)) as Secs - 1;
+                first = Some(first.map_or(d, |f| f.min(d)));
+            }
+        }
+        first.map(|d| now + d.max(1))
+    }
+}
+
+/// The earlier of two optional instants, `None` meaning never.
+fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
 }
 
 impl Policy for SelectiveSuspension {
@@ -153,37 +286,34 @@ impl Policy for SelectiveSuspension {
         true
     }
 
+    // Between events only time moves: idle xfactors grow linearly and
+    // running ones are frozen, as are the TSS limits (they change on
+    // completion). A tick decide on an unchanged state can therefore
+    // first act when a victim first qualifies or a placement first fits.
+    // Once a victim qualifies without being taken (the width rule, a TSS
+    // limit, too little gain), every later tick is a re-check.
+    fn next_tick_action(&mut self, state: &SimState) -> Option<SimTime> {
+        let qualify = self.first_qualification(state);
+        if qualify == Some(state.now()) || !Self::may_place(state) {
+            return qualify;
+        }
+        earliest(qualify, self.first_placement(state))
+    }
+
     fn decide(&mut self, state: &SimState, ctx: &DecideCtx<'_>, actions: &mut Vec<Action>) {
-        // Fast certification of the common no-op tick. Every action the
-        // loop below can emit requires at least one of:
-        //
-        // * an idle job no wider than the working free pool (placement and
-        //   re-entry both need `procs` processors out of free ∪ draining),
-        // * a victim qualification `x(idle) ≥ SF × x(victim)` — bounded
-        //   from below by the cheapest running job, since the width rule,
-        //   TSS limits, and overlap checks only *remove* candidates.
-        //
-        // When neither holds, the decide provably produces nothing: skip
-        // the idle sort, the mirror, and every per-decide allocation.
-        // Traced runs take the full path — the scan can emit
-        // `BlockedByDisableLimit` records without acting — as do runs
-        // that ask for the reference scan outright.
-        if !ctx.reference && !ctx.trace.enabled() {
-            let wf = state.free_count() + state.draining_set().count();
-            let idle_ids = || state.queued().iter().chain(state.suspended().iter());
-            if !idle_ids().any(|&id| state.width(id) <= wf) {
-                let qualifies = ctx.tick && {
-                    let min_run = state
-                        .running()
-                        .iter()
-                        .map(|&id| state.xfactor(id))
-                        .fold(f64::INFINITY, f64::min);
-                    idle_ids().any(|&id| state.xfactor(id) >= self.cfg.sf * min_run)
-                };
-                if !qualifies {
-                    return;
-                }
-            }
+        // Fast certification of the common no-op decide: with no idle job
+        // fitting the working pool and (on a tick) no victim qualifying,
+        // the decide provably produces nothing — skip the idle sort, the
+        // mirror, and every per-decide allocation. Traced runs take the
+        // full path — the scan can emit `BlockedByDisableLimit` records
+        // without acting — as do runs that ask for the reference scan
+        // outright.
+        if !ctx.reference
+            && !ctx.trace.enabled()
+            && !Self::may_place(state)
+            && (!ctx.tick || self.first_qualification(state) != Some(state.now()))
+        {
+            return;
         }
 
         // All per-decide scratch lives in the policy-owned arena: taking

@@ -7,7 +7,8 @@ use sps_metrics::{
     utilization, FaultSummary, JobOutcome, OutcomeFold, RejectionSummary, WindowedReport,
 };
 use sps_simcore::{
-    Engine, EventClass, EventQueue, RunOutcome, Secs, SimTime, Simulation, Ticker, Watchdog,
+    Engine, EventClass, EventQueue, RunOutcome, Secs, SimTime, Simulation, TickShadow, Ticker,
+    Watchdog,
 };
 use sps_telemetry::{
     EventClass as ObsClass, HealthSummary, NullTelemetry, Obs, PhaseProfile, SpanEvent, SpanPhase,
@@ -129,6 +130,12 @@ pub struct KernelStats {
     /// Job-table slots reclaimed by lean-mode prefix trimming (zero for
     /// full runs, which keep every record).
     pub reclaimed_slots: u64,
+    /// Tick instants delivered: instants whose decide saw `tick = true`.
+    pub ticks: u64,
+    /// Period multiples the every-minute schedule would have ticked on
+    /// but tick elision skipped (zero with elision off). A run's `ticks`
+    /// plus `ticks_elided` equal the un-elided run's `ticks`.
+    pub ticks_elided: u64,
     /// Per-phase latency profile from the span profiler
     /// ([`Simulator::with_profiler`]); `None` on unprofiled runs.
     pub phases: Option<PhaseProfile>,
@@ -233,6 +240,13 @@ pub struct Simulator<S: TraceSink = NullSink, T: TelemetrySink = NullTelemetry> 
     pub(crate) state: SimState,
     policy: Box<dyn Policy>,
     ticker: Option<Ticker>,
+    /// The every-period tick schedule, replayed on elided runs so each
+    /// instant knows whether the un-elided run ticks there.
+    shadow: Option<TickShadow>,
+    /// Tick instants delivered ([`KernelStats::ticks`]).
+    ticks: u64,
+    /// Tick instants skipped by elision ([`KernelStats::ticks_elided`]).
+    ticks_elided: u64,
     /// Arrivals collected for the current instant.
     arrivals_now: Vec<JobId>,
     /// Processor failures delivered at the current instant.
@@ -248,7 +262,8 @@ pub struct Simulator<S: TraceSink = NullSink, T: TelemetrySink = NullTelemetry> 
     /// Policy decide() invocations so far.
     decide_calls: u64,
     /// Skip decides and let ticks lapse at quiescent instants when the
-    /// policy certifies them as no-ops ([`Policy::quiescent_noop`]). On by
+    /// policy certifies them as no-ops ([`Policy::quiescent_noop`]), and
+    /// skip the ticks before [`Policy::next_tick_action`] otherwise. On by
     /// default; behavior-preserving, so only the kernel counters change.
     /// [`Simulator::with_tick_elision`] turns it off to reproduce the
     /// every-tick schedule event-for-event (benches, A/B comparisons).
@@ -364,10 +379,14 @@ impl<S: TraceSink> Simulator<S> {
             validate_job(j, procs);
         }
         let ticker = policy.needs_tick().then(|| Ticker::new(tick_period));
+        let shadow = policy.needs_tick().then(|| TickShadow::new(tick_period));
         Simulator {
             state: SimState::new(jobs, procs, overhead),
             policy,
             ticker,
+            shadow,
+            ticks: 0,
+            ticks_elided: 0,
             arrivals_now: Vec::new(),
             failures_now: Vec::new(),
             repairs_now: Vec::new(),
@@ -419,6 +438,9 @@ impl<S: TraceSink> Simulator<S> {
             state: self.state,
             policy: self.policy,
             ticker: self.ticker,
+            shadow: self.shadow,
+            ticks: self.ticks,
+            ticks_elided: self.ticks_elided,
             arrivals_now: self.arrivals_now,
             failures_now: self.failures_now,
             repairs_now: self.repairs_now,
@@ -459,18 +481,20 @@ fn validate_job(j: &Job, procs: u32) {
 }
 
 impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
-    /// Control idle-instant elision (builder style, default `true`).
+    /// Control tick elision (builder style, default `true`).
     ///
     /// When enabled and the policy certifies quiescent instants as no-ops,
     /// the simulator skips `decide()` at instants with nothing to schedule
-    /// and stops re-arming the periodic tick while only running jobs
-    /// remain. [`Ticker`] phase is absolute (ticks land on multiples of
-    /// the period), so re-arming after the next real event hits the exact
-    /// instants continuous ticking would have — the schedule, outcomes,
-    /// and every trace byte are unchanged; only [`KernelStats`] sees fewer
-    /// events and decides. Pass `false` to force the pre-elision event
-    /// stream (the before-side of `sweep_throughput`, and any bench that
-    /// pins event counts).
+    /// and arms no tick while only running jobs remain. While jobs wait,
+    /// it arms the first tick at or after [`Policy::next_tick_action`]
+    /// instead of the next one. [`Ticker`] phase is absolute (ticks land
+    /// on multiples of the period), and a [`TickShadow`] replays the
+    /// skipped schedule so an event on a multiple the un-elided run ticks
+    /// on is decided as a tick — the schedule, outcomes, and every trace
+    /// byte are unchanged; only [`KernelStats`] sees fewer events and
+    /// decides. Pass `false` to force the pre-elision event stream (the
+    /// before-side of `sweep_throughput`, and any bench that pins event
+    /// counts).
     pub fn with_tick_elision(mut self, enabled: bool) -> Self {
         self.elide_idle = enabled;
         self
@@ -730,6 +754,8 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
             decide_calls: self.decide_calls,
             wall_micros,
             reclaimed_slots: self.state.trimmed as u64,
+            ticks: self.ticks,
+            ticks_elided: self.ticks_elided + self.shadow_tail(outcome),
             phases: self.profiler.as_ref().map(|p| *p.profile()),
         };
         let status = match outcome {
@@ -816,6 +842,20 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
                 .as_mut()
                 .filter(|p| p.timeline_enabled())
                 .map(|p| p.take_events()),
+        }
+    }
+
+    /// Ticks the un-elided run still delivers after the last instant of an
+    /// elided run: through the horizon, or the one armed before a drain.
+    fn shadow_tail(&self, outcome: RunOutcome) -> u64 {
+        let end = match (outcome, self.until) {
+            (RunOutcome::Drained, _) => SimTime::MAX,
+            (RunOutcome::HorizonReached, RunUntil::SimTime(h)) => h,
+            _ => return 0,
+        };
+        match &self.shadow {
+            Some(shadow) if self.elision_active() => shadow.remaining_until(end),
+            _ => 0,
         }
     }
 
@@ -1282,6 +1322,7 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
         self.repairs_now.clear();
         let tel = self.telemetry.enabled();
         let prof = self.profiler.is_some();
+        let elidable = self.elision_active();
         let mut tick = false;
         let drain_start = prof.then(Instant::now);
         for ev in batch.drain(..) {
@@ -1349,6 +1390,18 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
         if let Some(t0) = drain_start {
             self.span(SpanPhase::EventDrain, t0);
         }
+        // Elided runs take the tick flag from the replayed every-period
+        // schedule, not from the ticks actually armed: an arrival on a
+        // multiple the un-elided run ticks on is decided as a tick, and an
+        // armed tick superseded by a later instant's answer is not one.
+        if elidable {
+            if let Some(shadow) = &mut self.shadow {
+                let (on_now, skipped) = shadow.catch_up(now);
+                tick = on_now;
+                self.ticks_elided += skipped;
+            }
+        }
+        self.ticks += u64::from(tick);
 
         // Lifecycle phase: lazy job materialization and admission
         // filtering, between the drain and the decide.
@@ -1376,7 +1429,6 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
         let failures = std::mem::take(&mut self.failures_now);
         let repairs = std::mem::take(&mut self.repairs_now);
         self.actions.clear();
-        let elidable = self.elision_active();
         // A quiescent instant that delivered nothing actionable (typically
         // a leftover tick, or a completion with an empty queue) cannot
         // change the schedule when the policy certifies it — skip the
@@ -1457,16 +1509,30 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
         // here made every batch O(jobs).
         //
         // Elision: while the machine is quiescent (running jobs only),
-        // certified policies can't act on a tick, so don't re-arm one.
-        // The ticker's phase is absolute — `next_after` rounds up to a
-        // multiple of the period — so re-arming at the event that ends the
-        // quiescence lands on exactly the instants continuous ticking
-        // would have hit, and the schedule is bit-identical.
+        // certified policies can't act on a tick, so none is armed; while
+        // jobs wait, the first tick armed is the one at or after the
+        // policy's [`Policy::next_tick_action`], every earlier one being a
+        // certified no-op. The ticker's phase is absolute, so the armed
+        // tick lands on an instant continuous ticking would have hit, and
+        // any event before it re-asks the policy — the schedule is
+        // bit-identical.
         let work_pending = !self.state.queued.is_empty()
             || !self.state.suspended.is_empty()
             || !self.state.running.is_empty()
             || self.state.index.draining_jobs() > 0;
-        if work_pending && !(elidable && self.quiescent()) {
+        if elidable {
+            let quiescent = self.quiescent();
+            if let (Some(shadow), Some(ticker)) = (&mut self.shadow, &mut self.ticker) {
+                shadow.settle(now, work_pending);
+                if !quiescent {
+                    if let Some(at) = self.policy.next_tick_action(&self.state) {
+                        if let Some(at) = ticker.arm_not_before(at.max(now + 1)) {
+                            queue.push(at, EventClass::Tick, Event::Tick);
+                        }
+                    }
+                }
+            }
+        } else if work_pending {
             if let Some(t) = &mut self.ticker {
                 if let Some(at) = t.arm(now) {
                     queue.push(at, EventClass::Tick, Event::Tick);

@@ -629,6 +629,15 @@ impl SimState {
         (self.wait_at_slot(i) as f64 + est) / est
     }
 
+    /// The line [`SimState::xfactor`] follows while the job waits:
+    /// `(wait, est)` with `xfactor(now + d) = (wait + d + est) / est`.
+    /// Exact integers, for policies that compute when two lines cross.
+    #[inline]
+    pub(crate) fn xfactor_line(&self, id: JobId) -> (Secs, Secs) {
+        let i = self.slot(id);
+        (self.wait_at_slot(i), self.hot.est[i])
+    }
+
     /// IS's instantaneous xfactor (Section II-C):
     /// `(wait + accumulated run) / accumulated run`, with the denominator
     /// floored at one second (a job that has barely run is effectively

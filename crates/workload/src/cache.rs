@@ -8,11 +8,14 @@
 //! first requester of a [`TraceKey`] pays the generation cost, everyone
 //! else clones a pointer. The cache is thread-safe (the sweep harness
 //! shares one across its worker threads) and generation runs outside the
-//! lock, so a cold grid never serializes on it.
+//! lock, so a cold grid never serializes on it. Generation is also
+//! single-flight: requesters racing on a cold key wait for the one
+//! generation in progress instead of running their own, so hit and miss
+//! counts depend only on the request sequence, not on thread timing.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::estimate::EstimateModel;
 use crate::job::Job;
@@ -97,10 +100,16 @@ struct Entry {
     last_use: u64,
 }
 
+/// A generation in progress: the first requester of a cold key fills it,
+/// later ones block on it until it is filled.
+type Flight = Arc<OnceLock<Arc<[Job]>>>;
+
 /// The lock-guarded interior: the entry map plus the LRU accounting.
 #[derive(Default)]
 struct Inner {
     entries: HashMap<TraceKey, Entry>,
+    /// Cold keys being generated right now.
+    inflight: HashMap<TraceKey, Flight>,
     /// Monotone access clock driving LRU order.
     tick: u64,
     /// Resident bytes across all entries (job payloads only).
@@ -157,38 +166,44 @@ impl TraceCache {
     }
 
     /// The trace for `key`, generating it with `generate` on first
-    /// request. Generation runs outside the lock; if two threads race on
-    /// a cold key, both generate (deterministically identical) traces and
-    /// the first insertion wins.
+    /// request. Generation runs outside the lock and once per cold key:
+    /// a thread requesting a key another thread is generating waits for
+    /// that trace and counts as a hit.
     pub fn get_or_generate(
         &self,
         key: TraceKey,
         generate: impl FnOnce() -> Vec<Job>,
     ) -> Arc<[Job]> {
-        if let Some(hit) = self.map.lock().expect("cache lock").touch(&key) {
+        let flight = {
+            let mut inner = self.map.lock().expect("cache lock");
+            if let Some(hit) = inner.touch(&key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return hit;
+            }
+            Arc::clone(inner.inflight.entry(key).or_default())
+        };
+        let mut generated = false;
+        let jobs = Arc::clone(flight.get_or_init(|| {
+            generated = true;
+            generate().into()
+        }));
+        if !generated {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
+            return jobs;
         }
-        let fresh: Arc<[Job]> = generate().into();
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.map.lock().expect("cache lock");
+        inner.inflight.remove(&key);
         inner.tick += 1;
-        let tick = inner.tick;
-        let jobs = Arc::clone(
-            &inner
-                .entries
-                .entry(key)
-                .or_insert_with(|| {
-                    // First insertion wins a cold-key race; account bytes
-                    // only for the copy actually retained.
-                    Entry {
-                        jobs: fresh,
-                        last_use: tick,
-                    }
-                })
-                .jobs,
-        );
-        inner.bytes = inner.entries.values().map(|e| trace_bytes(&e.jobs)).sum();
+        let last_use = inner.tick;
+        inner.bytes += trace_bytes(&jobs);
+        let entry = Entry {
+            jobs: Arc::clone(&jobs),
+            last_use,
+        };
+        if let Some(stale) = inner.entries.insert(key, entry) {
+            inner.bytes -= trace_bytes(&stale.jobs);
+        }
         if let Some(budget) = self.budget {
             while inner.bytes > budget && inner.entries.len() > 1 {
                 let oldest = inner
@@ -351,5 +366,34 @@ mod tests {
             }
         });
         assert_eq!(cache.len(), 1, "one entry regardless of racing requesters");
+    }
+
+    #[test]
+    fn racing_requesters_generate_a_cold_key_once() {
+        let cache = TraceCache::new();
+        let key = TraceKey::new(SDSC, 50, 3, 1.0, &EstimateModel::Accurate);
+        let generations = AtomicU64::new(0);
+        let barrier = std::sync::Barrier::new(4);
+        let traces: Vec<Arc<[Job]>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        cache.get_or_generate(key, || {
+                            generations.fetch_add(1, Ordering::Relaxed);
+                            // Hold the generation open so the others most
+                            // likely arrive while the key is cold; the
+                            // assertions hold for any interleaving.
+                            std::thread::sleep(std::time::Duration::from_millis(50));
+                            gen(3)
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(generations.load(Ordering::Relaxed), 1, "one generation");
+        assert_eq!((cache.misses(), cache.hits()), (1, 3));
+        assert!(traces.iter().all(|t| Arc::ptr_eq(t, &traces[0])));
     }
 }

@@ -484,10 +484,11 @@ fn report(jobs: Vec<Job>, procs: u32, args: &Args) {
             res.preemptions,
         );
         println!(
-            "{:<14}   kernel: {} events, {} decides in {:.1} ms ({} events/s)",
+            "{:<14}   kernel: {} events, {} decides, {} ticks elided in {:.1} ms ({} events/s)",
             "",
             res.kernel.events,
             res.kernel.decide_calls,
+            res.kernel.ticks_elided,
             res.kernel.wall_micros as f64 / 1e3,
             // Sub-millisecond runs register zero wall microseconds; a rate
             // computed from that would be infinite, so report n/a.

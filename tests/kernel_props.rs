@@ -19,6 +19,9 @@ use sps_core::sim::SimState;
 use sps_workload::traces::SDSC;
 
 /// Decorator that validates every kernel invariant before each decision.
+/// It forwards the elision hooks, so the validated runs skip exactly the
+/// ticks and decides an undecorated run skips, and the recount runs
+/// against the state sequence elided runs actually produce.
 struct Validating {
     inner: Box<dyn Policy>,
     checks: Rc<Cell<u64>>,
@@ -31,6 +34,14 @@ impl Policy for Validating {
 
     fn needs_tick(&self) -> bool {
         self.inner.needs_tick()
+    }
+
+    fn quiescent_noop(&self) -> bool {
+        self.inner.quiescent_noop()
+    }
+
+    fn next_tick_action(&mut self, state: &SimState) -> Option<SimTime> {
+        self.inner.next_tick_action(state)
     }
 
     fn decide(&mut self, state: &SimState, ctx: &DecideCtx<'_>, actions: &mut Vec<Action>) {
@@ -134,11 +145,13 @@ fn run_validated(
         overhead,
         faults,
         PreemptionMode::InPlace,
+        true,
     )
 }
 
 /// [`run_validated`] with an explicit preemption mode (checkpoint model
-/// fixed to a short contended interval so image costs actually fire).
+/// fixed to a short contended interval so image costs actually fire) and
+/// tick elision setting.
 fn run_validated_with(
     policy: Box<dyn Policy>,
     jobs: usize,
@@ -146,6 +159,7 @@ fn run_validated_with(
     overhead: OverheadModel,
     faults: FaultModel,
     pmode: PreemptionMode,
+    elide: bool,
 ) -> u64 {
     let checks = Rc::new(Cell::new(0));
     let wrapped = Box::new(Validating {
@@ -159,6 +173,7 @@ fn run_validated_with(
     let res = Simulator::with_overhead(jobs, SDSC.procs, wrapped, overhead)
         .with_faults(faults)
         .with_preemption(pmode, ckpt)
+        .with_tick_elision(elide)
         .run();
     assert!(!res.status.is_aborted(), "run must complete");
     assert_eq!(res.unfinished, 0);
@@ -167,15 +182,27 @@ fn run_validated_with(
 
 #[test]
 fn invariants_hold_under_selective_suspension_with_drain() {
+    // Un-elided, every tick's decide is validated; elided, the run skips
+    // most ticks and the recount follows the states it does visit.
     let policy: SchedulerKind = "ss:2".parse().unwrap();
-    let checks = run_validated(
-        policy.build(),
-        250,
-        3,
-        OverheadModel::MemoryDrain { mb_per_sec: 2.0 },
-        FaultModel::none(),
+    let validate = |elide| {
+        run_validated_with(
+            policy.build(),
+            250,
+            3,
+            OverheadModel::MemoryDrain { mb_per_sec: 2.0 },
+            FaultModel::none(),
+            PreemptionMode::InPlace,
+            elide,
+        )
+    };
+    let every_tick = validate(false);
+    assert!(every_tick > 1_000, "validated {every_tick} instants");
+    let elided = validate(true);
+    assert!(
+        elided > 100 && elided < every_tick,
+        "validated {elided} instants of an elided run"
     );
-    assert!(checks > 1_000, "validated {checks} instants");
 }
 
 #[test]
@@ -267,6 +294,7 @@ fn invariants_hold_under_chaos_with_migration() {
             OverheadModel::MemoryDrain { mb_per_sec: 2.0 },
             faults,
             PreemptionMode::Migrate,
+            true,
         );
         assert!(checks > 100, "validated {checks} instants");
     }
@@ -286,5 +314,6 @@ fn invariants_hold_under_checkpoint_mode_schedulers() {
         OverheadModel::MemoryDrain { mb_per_sec: 2.0 },
         faults,
         PreemptionMode::Checkpoint,
+        true,
     );
 }

@@ -233,22 +233,112 @@ fn reference_and_fast_decides_agree_end_to_end() {
 /// Tick elision must not change *any* observable simulation output, for
 /// every policy that certifies quiescent decides as no-ops — and gang
 /// (which doesn't) must behave identically too, because the gate reads
-/// `Policy::quiescent_noop`.
+/// `Policy::quiescent_noop`. Two passes: at load 0.5 the workload has long
+/// quiescent stretches, and at load 1.3 jobs wait nearly all the time, so
+/// the ticks skipped are the ones before `Policy::next_tick_action`. SF 1
+/// puts a qualification crossing on almost every tick, and an arrival on
+/// a tick-aligned instant after a skipped stretch must still be decided
+/// as a tick.
 #[test]
 fn tick_elision_preserves_simulation_results() {
-    for system in [SDSC, CTC] {
-        for spec in [
-            "ns", "cons", "fcfs", "flex:3", "is", "ss:2", "tss:1.5", "gang",
-        ] {
+    for load in [0.5, 1.3] {
+        for system in [SDSC, CTC] {
+            for spec in [
+                "ns", "cons", "fcfs", "flex:3", "is", "ss:1", "ss:2", "tss:1", "tss:1.5", "gang",
+            ] {
+                let kind: SchedulerKind = spec.parse().expect("spec parses");
+                let cfg = ExperimentConfig::new(system, kind)
+                    .with_jobs(180)
+                    .with_seed(9)
+                    .with_load_factor(load)
+                    .with_overhead(OverheadModel::paper());
+                let (with, without) = (elided_run(&cfg, true), elided_run(&cfg, false));
+                let label = format!("{} on {} at load {load}", spec, system.name);
+                assert_eq!(with.makespan, without.makespan, "{label}: makespan");
+                assert_eq!(
+                    with.preemptions, without.preemptions,
+                    "{label}: preemptions"
+                );
+                assert_eq!(
+                    with.dropped_actions, without.dropped_actions,
+                    "{label}: dropped actions"
+                );
+                assert_eq!(
+                    with.utilization.to_bits(),
+                    without.utilization.to_bits(),
+                    "{label}: utilization"
+                );
+                assert_eq!(with.outcomes.len(), without.outcomes.len(), "{label}: jobs");
+                for (a, b) in with.outcomes.iter().zip(&without.outcomes) {
+                    assert_eq!(
+                        (a.id, a.first_start, a.completion, a.suspensions),
+                        (b.id, b.first_start, b.completion, b.suspensions),
+                        "{label}: outcome {:?}",
+                        a.id
+                    );
+                }
+                // Elision only ever removes work: never more events than
+                // the un-elided run, and strictly fewer for the certified
+                // tick policies (IS, SS, TSS) at either load.
+                assert!(
+                    with.kernel.events <= without.kernel.events,
+                    "{label}: elision added events"
+                );
+                let policy = kind.build();
+                if policy.quiescent_noop() && policy.needs_tick() {
+                    assert!(
+                        with.kernel.events < without.kernel.events,
+                        "{label}: no ticks elided"
+                    );
+                }
+            }
+        }
+    }
+}
+
+fn elided_run(cfg: &ExperimentConfig, elide: bool) -> SimResult {
+    Simulator::with_overhead_and_tick(
+        cfg.trace(),
+        cfg.system.procs,
+        cfg.scheduler.build(),
+        cfg.overhead,
+        cfg.tick_period,
+    )
+    .with_watchdog(Watchdog::generous())
+    .with_tick_elision(elide)
+    .run()
+}
+
+/// `KernelStats::ticks_elided` counts exactly the ticks elision skipped:
+/// an elided run's tick instants plus its elided ticks equal the tick
+/// instants of the un-elided run, through a drained end and through a
+/// horizon stop alike.
+#[test]
+fn elided_ticks_account_for_every_skipped_tick() {
+    for spec in ["is", "ss:2", "tss:1.5", "ns", "gang"] {
+        for load in [0.5, 1.3] {
             let kind: SchedulerKind = spec.parse().expect("spec parses");
-            // Low load stretches arrival gaps, so the workload has long
-            // quiescent stretches — the case elision actually changes.
-            let cfg = ExperimentConfig::new(system, kind)
-                .with_jobs(180)
-                .with_seed(9)
-                .with_load_factor(0.5)
-                .with_overhead(OverheadModel::paper());
-            let run = |elide: bool| {
+            let cfg = ExperimentConfig::new(SDSC, kind)
+                .with_jobs(150)
+                .with_seed(4)
+                .with_load_factor(load);
+            let (with, without) = (elided_run(&cfg, true), elided_run(&cfg, false));
+            let label = format!("{spec} at load {load}");
+            assert_eq!(without.kernel.ticks_elided, 0, "{label}: nothing elided");
+            assert_eq!(
+                with.kernel.ticks + with.kernel.ticks_elided,
+                without.kernel.ticks,
+                "{label}: tick instants"
+            );
+            let policy = kind.build();
+            if policy.quiescent_noop() && policy.needs_tick() {
+                assert!(with.kernel.ticks_elided > 0, "{label}: nothing elided");
+            }
+            // A horizon halfway through the run: the ticks the un-elided
+            // run delivers up to the horizon after the last event count
+            // too.
+            let horizon = SimTime::new(without.makespan / 2);
+            let stopped = |elide: bool| {
                 Simulator::with_overhead_and_tick(
                     cfg.trace(),
                     cfg.system.procs,
@@ -256,49 +346,16 @@ fn tick_elision_preserves_simulation_results() {
                     cfg.overhead,
                     cfg.tick_period,
                 )
-                .with_watchdog(Watchdog::generous())
                 .with_tick_elision(elide)
+                .with_until(RunUntil::SimTime(horizon))
                 .run()
             };
-            let (with, without) = (run(true), run(false));
-            let label = format!("{} on {}", spec, system.name);
-            assert_eq!(with.makespan, without.makespan, "{label}: makespan");
+            let (with, without) = (stopped(true), stopped(false));
             assert_eq!(
-                with.preemptions, without.preemptions,
-                "{label}: preemptions"
+                with.kernel.ticks + with.kernel.ticks_elided,
+                without.kernel.ticks,
+                "{label}: tick instants up to the horizon"
             );
-            assert_eq!(
-                with.dropped_actions, without.dropped_actions,
-                "{label}: dropped actions"
-            );
-            assert_eq!(
-                with.utilization.to_bits(),
-                without.utilization.to_bits(),
-                "{label}: utilization"
-            );
-            assert_eq!(with.outcomes.len(), without.outcomes.len(), "{label}: jobs");
-            for (a, b) in with.outcomes.iter().zip(&without.outcomes) {
-                assert_eq!(
-                    (a.id, a.first_start, a.completion, a.suspensions),
-                    (b.id, b.first_start, b.completion, b.suspensions),
-                    "{label}: outcome {:?}",
-                    a.id
-                );
-            }
-            // Elision only ever removes work: never more events than the
-            // un-elided run, and strictly fewer for the certified
-            // policies on this idle-heavy workload.
-            assert!(
-                with.kernel.events <= without.kernel.events,
-                "{label}: elision added events"
-            );
-            let policy = kind.build();
-            if policy.quiescent_noop() && policy.needs_tick() {
-                assert!(
-                    with.kernel.events < without.kernel.events,
-                    "{label}: no ticks elided on an idle-heavy workload"
-                );
-            }
         }
     }
 }
