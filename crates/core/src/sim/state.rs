@@ -437,9 +437,16 @@ impl SimState {
     /// Total wait of slot `i` up to the current instant.
     #[inline]
     pub(crate) fn wait_at_slot(&self, i: usize) -> Secs {
+        self.wait_of_slot_at(i, self.now)
+    }
+
+    /// Total wait of slot `i` up to instant `t`, if nothing but time
+    /// moves from the current instant to `t`.
+    #[inline]
+    fn wait_of_slot_at(&self, i: usize, t: SimTime) -> Secs {
         let accum = self.hot.wait_accum[i];
         if self.hot.is_waiting(i) {
-            accum + (self.now - self.hot.wait_since[i])
+            accum + (t - self.hot.wait_since[i])
         } else {
             accum
         }
@@ -624,9 +631,18 @@ impl SimState {
     /// the innermost operation of every SS/TSS/IS decide.
     #[inline]
     pub fn xfactor(&self, id: JobId) -> f64 {
+        self.xfactor_at(id, self.now)
+    }
+
+    /// [`SimState::xfactor`] at instant `t`, if nothing but time moves
+    /// from the current instant to `t` — the same f64 expression, so a
+    /// replay of skipped instants computes bit-identical values.
+    /// Non-decreasing in `t`.
+    #[inline]
+    pub fn xfactor_at(&self, id: JobId, t: SimTime) -> f64 {
         let i = self.slot(id);
         let est = self.hot.est[i] as f64;
-        (self.wait_at_slot(i) as f64 + est) / est
+        (self.wait_of_slot_at(i, t) as f64 + est) / est
     }
 
     /// The line [`SimState::xfactor`] follows while the job waits:

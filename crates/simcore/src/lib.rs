@@ -31,5 +31,5 @@ pub use engine::{Engine, RunOutcome, Simulation, Watchdog};
 pub use event::EventClass;
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use ticker::{TickShadow, Ticker};
+pub use ticker::{TickGrid, TickShadow, Ticker};
 pub use time::{Secs, SimTime, DAY, HOUR, MINUTE};

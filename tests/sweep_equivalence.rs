@@ -359,3 +359,141 @@ fn elided_ticks_account_for_every_skipped_tick() {
         }
     }
 }
+
+/// The fault/admission differential grid: every combination of these axes
+/// over `jobs`-job workloads, at each processor MTBF in `mtbfs`. Closed
+/// runs stop at a 30-day horizon: at MTBF 400 k s a CTC job spanning the
+/// whole machine sees a failure every ~15 minutes, so without checkpoints
+/// it never finishes, and a horizon (unlike a watchdog) stops the elided
+/// and un-elided runs at the same instant.
+fn fault_admission_grid(jobs: usize, mtbfs: &[i64]) -> Vec<(ExperimentConfig, RunUntil)> {
+    let mut grid = Vec::new();
+    for &mtbf in mtbfs {
+        for spec in ["ss:1", "ss:2", "tss:1.5", "is", "ns"] {
+            for recovery in [
+                RecoveryPolicy::WaitForRepair,
+                RecoveryPolicy::Resubmit,
+                RecoveryPolicy::Remap,
+            ] {
+                for mode in [
+                    PreemptionMode::InPlace,
+                    PreemptionMode::Checkpoint,
+                    PreemptionMode::Migrate,
+                ] {
+                    for crash in [0.0, 0.1] {
+                        for admission in [false, true] {
+                            for open in [false, true] {
+                                for system in [SDSC, CTC] {
+                                    let faults = FaultModel::proc_faults(mtbf, 3_600, 13)
+                                        .with_recovery(recovery)
+                                        .with_job_crash(crash);
+                                    let mut cfg = ExperimentConfig::new(
+                                        system,
+                                        spec.parse().expect("spec parses"),
+                                    )
+                                    .with_jobs(jobs)
+                                    .with_seed(21)
+                                    .with_load_factor(1.2)
+                                    .with_faults(faults)
+                                    .with_preemption(mode)
+                                    .with_checkpoint(CheckpointModel::paper().with_interval(1_800));
+                                    if admission {
+                                        cfg = cfg.with_admission(AdmissionModel::load_adaptive(
+                                            4.0 * 3_600.0,
+                                            1.0,
+                                        ));
+                                    }
+                                    let until = if open {
+                                        cfg = cfg.with_arrivals(ArrivalSpec::Mmpp {
+                                            load: Some(0.9),
+                                            burst: 3.0,
+                                            dwell: 4 * 3_600,
+                                        });
+                                        RunUntil::Jobs(jobs)
+                                    } else {
+                                        RunUntil::SimTime(SimTime::new(30 * 24 * HOUR))
+                                    };
+                                    grid.push((cfg, until));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    grid
+}
+
+/// Run each config elided and un-elided and require the same schedule:
+/// per-job outcomes, fault accounting, rejections and status, with
+/// strictly fewer events whenever the policy's ticks can be elided.
+fn assert_faulty_elision_equivalent(grid: &[(ExperimentConfig, RunUntil)]) {
+    for (cfg, until) in grid {
+        let run = |elide: bool| cfg.runner().until(*until).tick_elision(elide).simulate();
+        let (with, without) = (run(true), run(false));
+        let label = format!(
+            "{} on {}, {:?}, {:?}, crash {}, admission {}, {}",
+            cfg.scheduler,
+            cfg.system.name,
+            cfg.faults.recovery,
+            cfg.preemption,
+            cfg.faults.job_crash,
+            cfg.admission.enabled(),
+            if cfg.arrivals.is_trace() {
+                "closed"
+            } else {
+                "open"
+            },
+        );
+        assert_eq!(with.status, without.status, "{label}: status");
+        assert_eq!(with.faults, without.faults, "{label}: faults");
+        assert_eq!(with.rejections, without.rejections, "{label}: rejections");
+        assert_eq!(
+            with.preemptions, without.preemptions,
+            "{label}: preemptions"
+        );
+        assert_eq!(with.outcomes.len(), without.outcomes.len(), "{label}: jobs");
+        for (a, b) in with.outcomes.iter().zip(&without.outcomes) {
+            assert_eq!(
+                (a.id, a.first_start, a.completion, a.suspensions),
+                (b.id, b.first_start, b.completion, b.suspensions),
+                "{label}: outcome {:?}",
+                a.id
+            );
+        }
+        assert!(
+            with.kernel.events <= without.kernel.events,
+            "{label}: elision added events"
+        );
+        let policy = cfg.scheduler.build();
+        if policy.quiescent_noop() && policy.needs_tick() {
+            assert!(
+                with.kernel.events < without.kernel.events,
+                "{label}: no ticks elided"
+            );
+        }
+    }
+}
+
+/// Tick elision stays exact under fault injection, admission control and
+/// open arrivals: a strided sample of the full grid below (every axis
+/// value appears), small enough for a debug build.
+#[test]
+fn tick_elision_preserves_faulty_and_admitted_runs() {
+    let grid = fault_admission_grid(150, &[400_000]);
+    let sample: Vec<_> = grid.into_iter().step_by(7).collect();
+    assert_eq!(sample.len(), 103);
+    assert_faulty_elision_equivalent(&sample);
+}
+
+/// The full fault/admission grid: 1 440 configs of 300 jobs at MTBF 1 M
+/// and 400 k seconds. Run it in release:
+/// `cargo test --release --test sweep_equivalence -- --ignored`.
+#[test]
+#[ignore = "full grid; run in release with --ignored"]
+fn tick_elision_preserves_the_full_fault_admission_grid() {
+    let grid = fault_admission_grid(300, &[1_000_000, 400_000]);
+    assert_eq!(grid.len(), 1_440);
+    assert_faulty_elision_equivalent(&grid);
+}
