@@ -2,12 +2,10 @@
 //! `run_batch*` family that [`BatchRunner`](crate::runner::BatchRunner)
 //! and the sweep harness drive. Work is dispatched through per-worker
 //! chunked deques with stealing (see [`StealQueues`]): each worker starts
-//! with a contiguous slice of the batch — consecutive indices are
-//! replications of the same cell, so the initial split maximizes trace
-//! cache locality — and an idle worker steals the back half of a loaded
-//! one's queue, so a shard of slow cells never serializes the tail of a
-//! sweep. Per-configuration `catch_unwind` keeps one poisoned cell from
-//! voiding a whole grid.
+//! with a contiguous slice of the batch, and an idle worker steals the
+//! back half of a loaded one's queue, so a shard of slow cells never
+//! serializes the tail of a sweep. Per-configuration `catch_unwind` keeps
+//! one poisoned cell from voiding a whole grid.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -30,7 +28,8 @@ pub struct ShardStats {
     /// Cells this worker ran to a terminal failure (panicked after
     /// retries, invalid, or skipped on an exhausted wall budget).
     pub cells_failed: u64,
-    /// Pops that found the worker's own deque empty and scanned victims.
+    /// Pops that found the worker's own deque empty and scanned victims,
+    /// the final scan that found nothing and ended the worker included.
     pub steals_attempted: u64,
     /// Steal scans that came back with work.
     pub steals_succeeded: u64,
@@ -41,8 +40,9 @@ pub struct ShardStats {
     pub queue_depth_samples: u64,
     /// Wall time spent inside runner calls, nanoseconds.
     pub busy_ns: u64,
-    /// Wall time spent outside runner calls (queue ops, stealing,
-    /// waiting), nanoseconds.
+    /// Wall time from the batch start to the batch end spent outside
+    /// runner calls (queue ops, stealing, and the tail after the worker
+    /// ran out of work), nanoseconds.
     pub idle_ns: u64,
     /// Peak resident set (VmHWM, kB) observed after this worker's cells.
     /// Process-wide — the per-worker column shows *when* the high-water
@@ -206,9 +206,12 @@ pub fn default_threads() -> usize {
 ///
 /// Each worker owns a deque seeded with a contiguous chunk of `0..n`
 /// (worker 0 gets the first chunk, and the first `n % w` chunks are one
-/// item longer). Owners pop from the **front** — walking their chunk in
-/// input order, which keeps consecutive replications of one sweep cell
-/// (sharing a cached trace) on one thread. A worker whose deque drains
+/// item longer). Owners pop from the **front**, walking their chunk in
+/// input order. The split buys no trace locality: consecutive indices
+/// are replications of one sweep cell, which use different seeds and so
+/// different traces, and the trace a cell shares with the other
+/// schedulers comes from the batch's shared `TraceCache` whichever
+/// worker runs it. A worker whose deque drains
 /// scans the others round-robin from its own slot and steals the **back
 /// half** (rounded up) of the first non-empty victim: stealing from the
 /// back takes the work the owner would reach last, and taking half
@@ -397,22 +400,25 @@ where
     let configs_ref = &configs;
     let queues_ref = &queues;
     let runner_ref = &runner;
+    let batch_start = Instant::now();
     std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers);
         for me in 0..workers {
             let tx = tx.clone();
-            scope.spawn(move || {
-                let worker_start = Instant::now();
+            handles.push(scope.spawn(move || {
                 let mut busy = Duration::ZERO;
                 loop {
                     let (popped, steal_attempted, steal_succeeded) = queues_ref.pop_tracked(me);
-                    let Some(i) = popped else { break };
                     if let Some(b) = board {
                         let mut s = b.shards[me].lock().expect("shard poisoned");
                         s.steals_attempted += u64::from(steal_attempted);
                         s.steals_succeeded += u64::from(steal_succeeded);
-                        s.queue_depth_sum += queues_ref.depth(me) as u64;
-                        s.queue_depth_samples += 1;
+                        if popped.is_some() {
+                            s.queue_depth_sum += queues_ref.depth(me) as u64;
+                            s.queue_depth_samples += 1;
+                        }
                     }
+                    let Some(i) = popped else { break };
                     let cfg = &configs_ref[i];
                     if deadline.is_some_and(|d| Instant::now() >= d) {
                         if let Some(b) = board {
@@ -475,19 +481,25 @@ where
                         break;
                     }
                 }
-                if let Some(b) = board {
-                    let total = worker_start.elapsed();
-                    let mut s = b.shards[me].lock().expect("shard poisoned");
-                    s.busy_ns += busy.as_nanos() as u64;
-                    s.idle_ns += total.saturating_sub(busy).as_nanos() as u64;
-                }
-            });
+                busy
+            }));
         }
         drop(tx); // the receive loop ends once every worker is done
         let mut results: Vec<Option<Result<T, RunError>>> = (0..n).map(|_| None).collect();
         for (i, r) in rx {
             observe(i, &r);
             results[i] = Some(r);
+        }
+        // A worker that runs out of work exits while the batch runs on:
+        // its idle time runs to the batch end, not to its own exit.
+        if let Some(b) = board {
+            let total = batch_start.elapsed();
+            for (me, h) in handles.into_iter().enumerate() {
+                let busy = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+                let mut s = b.shards[me].lock().expect("shard poisoned");
+                s.busy_ns += busy.as_nanos() as u64;
+                s.idle_ns += total.saturating_sub(busy).as_nanos() as u64;
+            }
         }
         results
             .into_iter()
@@ -843,6 +855,59 @@ mod tests {
         let spans = board.take_spans();
         assert_eq!(spans.len(), 3);
         assert_eq!(spans.iter().filter(|s| s.ok).count(), 1);
+    }
+
+    #[test]
+    fn idle_time_runs_to_the_batch_end() {
+        // Worker 0 gets the long item, worker 1 the short one; worker 1
+        // finds nothing to steal and exits while worker 0 still runs.
+        let configs = vec![small(SchedulerKind::Easy), small(SchedulerKind::Fcfs)];
+        let board = ShardBoard::new(batch_workers(2, 2));
+        run_batch_sharded(
+            configs,
+            2,
+            0,
+            None,
+            Some(&board),
+            |_, cfg: &Arc<ExperimentConfig>| {
+                if cfg.scheduler == SchedulerKind::Easy {
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+            },
+            |_, _| {},
+        );
+        let shards = board.snapshot();
+        assert!(
+            shards[1].busy_frac() < 0.9,
+            "the short worker waited out the long item: {:?}",
+            shards[1]
+        );
+        assert!(shards[0].busy_frac() > shards[1].busy_frac());
+    }
+
+    #[test]
+    fn every_worker_counts_its_final_failed_steal_scan() {
+        for threads in [2, 3] {
+            let configs = (0..7u64)
+                .map(|seed| small(SchedulerKind::Easy).with_jobs(40).with_seed(seed))
+                .collect();
+            let board = ShardBoard::new(batch_workers(threads, 7));
+            run_batch_sharded(
+                configs,
+                threads,
+                0,
+                None,
+                Some(&board),
+                |_, cfg: &Arc<ExperimentConfig>| cfg.run().report.overall.count,
+                |_, _| {},
+            );
+            for s in board.snapshot() {
+                assert!(
+                    s.steals_attempted > s.steals_succeeded,
+                    "{threads} workers: {s:?}"
+                );
+            }
+        }
     }
 
     #[test]

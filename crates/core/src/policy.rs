@@ -122,8 +122,12 @@ pub trait Policy {
     /// then skips the ticks before the returned instant and arms the first
     /// one at or after it. The answer may be early — an early tick is an
     /// exact re-check — but never late: every tick the run skips must be
-    /// a decide that returns no actions and mutates no policy state. The
-    /// default, `now`, skips nothing.
+    /// a decide that returns no actions and mutates no state a later
+    /// decide reads. The run loop asks only at instants whose decide ran,
+    /// after its actions were applied, so the answer may use the policy's
+    /// record of that decide: after a tick decide that acted on nothing,
+    /// the state asked about is exactly the state it saw. The default,
+    /// `now`, skips nothing.
     fn next_tick_action(&mut self, state: &SimState) -> Option<SimTime> {
         Some(state.now())
     }

@@ -172,6 +172,8 @@ pub(crate) struct DecideArena {
     pub chosen: Vec<usize>,
     /// The (priority, id) idle list, rebuilt every decide.
     pub idle: Vec<(f64, JobId)>,
+    /// Victim-qualification bars (SF × running xfactor), ascending.
+    pub bars: Vec<f64>,
     /// The running-job victim mirror.
     pub table: VictimTable,
     /// Scratch for claim-aware placement.
@@ -189,6 +191,7 @@ impl Default for DecideArena {
             indices: Vec::new(),
             chosen: Vec::new(),
             idle: Vec::new(),
+            bars: Vec::new(),
             table: VictimTable::default(),
             alloc: AllocScratch::default(),
         }

@@ -92,6 +92,10 @@ pub struct SelectiveSuspension {
     /// tens of thousands of times per simulation; reusing one arena keeps
     /// the entire decide path off the allocator.
     arena: DecideArena,
+    /// The instant of the last decide if it ran the preemption routine
+    /// and acted on nothing. At that instant the state is the one the
+    /// no-op decide saw, which [`Policy::next_tick_action`] exploits.
+    settled: Option<SimTime>,
 }
 
 impl SelectiveSuspension {
@@ -100,6 +104,7 @@ impl SelectiveSuspension {
         SelectiveSuspension {
             cfg,
             arena: DecideArena::default(),
+            settled: None,
         }
     }
 
@@ -136,56 +141,74 @@ impl SelectiveSuspension {
             .any(|&id| state.width(id) <= wf)
     }
 
-    /// The earliest instant at which some idle job's xfactor reaches SF ×
-    /// the cheapest running xfactor: `now` if one already has, `None` with
-    /// nothing running. Necessary for any victim to qualify, because the
-    /// width rule, TSS limits and overlap checks only remove candidates.
-    /// Running xfactors are frozen and idle ones grow along
+    /// The earliest instant at which some idle job's qualified-victim
+    /// prefix could grow: the first crossing of an idle xfactor with a
+    /// bar SF × a running xfactor that it does not reach yet. Running
+    /// xfactors are frozen and idle ones grow along
     /// [`SimState::xfactor_line`], so each crossing has a closed form; it
     /// is rounded down, less a second of margin for the decide's
     /// floating-point comparison, so the answer is never late.
-    fn first_qualification(&self, state: &SimState) -> Option<SimTime> {
-        let min_run = state
-            .running()
-            .iter()
-            .map(|&id| state.xfactor(id))
-            .fold(f64::INFINITY, f64::min);
-        if !min_run.is_finite() {
-            return None;
+    ///
+    /// Unsettled, a job that already reaches the cheapest bar may preempt
+    /// now, so the answer is `now`. Settled, the decide has seen every
+    /// victim each job qualifies against and taken none (the width rule,
+    /// TSS limits and overlap checks only remove candidates), so only
+    /// each job's next bar counts. `None` when no job has a bar left.
+    fn next_qualification(&mut self, state: &SimState, settled: bool) -> Option<SimTime> {
+        let now = state.now();
+        let sf = self.cfg.sf;
+        let bars = &mut self.arena.bars;
+        bars.clear();
+        let running = state.running().iter().map(|&id| sf * state.xfactor(id));
+        if settled {
+            bars.extend(running);
+            bars.sort_unstable_by(f64::total_cmp);
+        } else {
+            // Unsettled, only the cheapest bar counts.
+            bars.extend(running.min_by(f64::total_cmp));
         }
-        let bar = self.cfg.sf * min_run;
         let mut first: Option<Secs> = None;
         for &id in state.queued().iter().chain(state.suspended()) {
-            if state.xfactor(id) >= bar {
-                return Some(state.now());
+            let xf = state.xfactor(id);
+            let reached = bars.partition_point(|&bar| bar <= xf);
+            if reached > 0 && !settled {
+                return Some(now);
             }
+            let Some(&bar) = bars.get(reached) else {
+                continue;
+            };
             // (wait + d + est) / est >= bar  ⇔  d >= bar·est − est − wait.
             let (wait, est) = state.xfactor_line(id);
             let d = (bar * est as f64 - (est + wait) as f64).floor() as Secs - 1;
             first = Some(first.map_or(d, |f| f.min(d)));
         }
-        first.map(|d| state.now() + d.max(1))
+        first.map(|d| now + d.max(1))
     }
 
-    /// The earliest instant at which a placement without victims could
-    /// happen: `now` if one can already, `None` if none can before the
-    /// next event. A fresh job fits iff its width is at most the pool
-    /// minus the claims of the suspended jobs ahead of it in priority
-    /// order (the decide's `blocked` set); with no action taken, nothing
-    /// else changes the pool. That count only grows when the fresh job
-    /// overtakes one of those suspended jobs, so the answer is the first
-    /// such crossing of two xfactor lines, rounded down like
-    /// [`Self::first_qualification`]. Resuming in place needs no time at
-    /// all: the claim is inside the pool or it is not.
-    fn first_placement(&mut self, state: &SimState) -> Option<SimTime> {
+    /// The earliest instant at which a fresh job (queued, or suspended
+    /// and free to restart anywhere) could overtake a pinned suspended
+    /// job ranked above it; `now` if, unsettled, a placement without
+    /// victims can already happen. A fresh job may use the pool (free ∪
+    /// draining) minus the claims of the pinned jobs ahead of it in
+    /// priority order (the decide's `blocked` set), and that set only
+    /// shrinks when the job overtakes one of them: the first crossing of
+    /// two xfactor lines, rounded down like [`Self::next_qualification`].
+    /// Resuming in place needs no time at all: the claim is inside the
+    /// pool or it is not.
+    ///
+    /// Unsettled, only placements count: the claims that meet the pool
+    /// and the fresh jobs no wider than it. Settled, every pair counts,
+    /// because a smaller `blocked` set also raises the victim scan's
+    /// usable widths.
+    fn next_overtake(&mut self, state: &SimState, settled: bool) -> Option<SimTime> {
         let now = state.now();
         let migration = self.cfg.migration;
         let pinned = |id: JobId| !migration && !state.can_remap(id);
         let arena = &mut self.arena;
         planner::working_free_set_into(state, &mut arena.free);
         let pool = arena.free.count();
-        // `idle` holds the pinned suspended jobs whose claims meet the
-        // pool — the only ones that block anything — in decide order.
+        // `idle` holds the pinned suspended jobs that count, in decide
+        // order.
         arena.idle.clear();
         for &sid in state.suspended() {
             if !pinned(sid) {
@@ -197,7 +220,7 @@ impl SelectiveSuspension {
             if !state.is_stranded(sid) && claim.is_subset(&arena.free) {
                 return Some(now);
             }
-            if claim.overlaps(&arena.free) {
+            if settled || claim.overlaps(&arena.free) {
                 arena.idle.push((state.xfactor(sid), sid));
             }
         }
@@ -223,7 +246,7 @@ impl SelectiveSuspension {
         let mut first: Option<Secs> = None;
         for &id in fresh {
             let need = state.width(id);
-            if need > pool {
+            if need > pool && !settled {
                 continue;
             }
             let xf = state.xfactor(id);
@@ -288,16 +311,21 @@ impl Policy for SelectiveSuspension {
 
     // Between events only time moves: idle xfactors grow linearly and
     // running ones are frozen, as are the TSS limits (they change on
-    // completion). A tick decide on an unchanged state can therefore
-    // first act when a victim first qualifies or a placement first fits.
-    // Once a victim qualifies without being taken (the width rule, a TSS
-    // limit, too little gain), every later tick is a re-check.
+    // completion), the width rule and the free and draining sets. A tick
+    // decide on an unchanged state can therefore first act when a victim
+    // first qualifies or a placement first fits. After a no-op tick
+    // decide on this very state, it depends on time only through two
+    // monotone things: each idle job's qualified-victim prefix, and which
+    // pinned claims rank above each fresh job (a pinned job overtaking a
+    // fresh one only blocks more). So the next tick that can act is the
+    // first at which a prefix grows or a fresh job overtakes a pinned one.
     fn next_tick_action(&mut self, state: &SimState) -> Option<SimTime> {
-        let qualify = self.first_qualification(state);
-        if qualify == Some(state.now()) || !Self::may_place(state) {
+        let settled = self.settled == Some(state.now());
+        let qualify = self.next_qualification(state, settled);
+        if qualify == Some(state.now()) || !(settled || Self::may_place(state)) {
             return qualify;
         }
-        earliest(qualify, self.first_placement(state))
+        earliest(qualify, self.next_overtake(state, settled))
     }
 
     fn decide(&mut self, state: &SimState, ctx: &DecideCtx<'_>, actions: &mut Vec<Action>) {
@@ -311,10 +339,12 @@ impl Policy for SelectiveSuspension {
         if !ctx.reference
             && !ctx.trace.enabled()
             && !Self::may_place(state)
-            && (!ctx.tick || self.first_qualification(state) != Some(state.now()))
+            && (!ctx.tick || self.next_qualification(state, false) != Some(state.now()))
         {
+            self.settled = ctx.tick.then_some(state.now());
             return;
         }
+        let acted_before = actions.len();
 
         // All per-decide scratch lives in the policy-owned arena: taking
         // it out of `self` lets the loop borrow its fields independently
@@ -599,6 +629,7 @@ impl Policy for SelectiveSuspension {
             }
         }
         self.arena = arena;
+        self.settled = (ctx.tick && actions.len() == acted_before).then_some(state.now());
     }
 
     fn on_completion(&mut self, outcome: &JobOutcome) {
@@ -611,11 +642,150 @@ impl Policy for SelectiveSuspension {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Simulator;
+    use crate::admission::AdmissionModel;
+    use crate::overhead::OverheadModel;
+    use crate::sim::{Event, Simulator};
+    use sps_simcore::EventQueue;
+    use sps_telemetry::TelemetryCtx;
+    use sps_trace::TraceCtx;
     use sps_workload::Job;
 
     fn run_ss(jobs: Vec<Job>, procs: u32, sf: f64) -> crate::sim::SimResult {
         Simulator::new(jobs, procs, Box::new(SelectiveSuspension::ss(sf))).run()
+    }
+
+    /// A hand-driven state for certificate checks: jobs arrive, start on
+    /// chosen processors and are suspended at chosen instants, with no
+    /// policy in the loop until [`Bench::tick`].
+    struct Bench {
+        state: SimState,
+        queue: EventQueue<Event>,
+    }
+
+    impl Bench {
+        fn new(jobs: Vec<Job>, procs: u32) -> Self {
+            Bench {
+                state: SimState::new(jobs, procs, OverheadModel::None),
+                queue: EventQueue::with_capacity(16),
+            }
+        }
+
+        fn at(&mut self, t: i64) -> &mut Self {
+            self.state.now = SimTime::new(t);
+            self
+        }
+
+        fn arrive(&mut self, id: u32) -> &mut Self {
+            self.state.arrive(JobId(id));
+            self
+        }
+
+        fn start(&mut self, id: u32, procs: std::ops::Range<u32>) -> &mut Self {
+            let mut set = ProcSet::empty(self.state.total_procs());
+            procs.for_each(|p| set.insert(p));
+            assert!(self.state.start_on(JobId(id), &set, &mut self.queue));
+            self
+        }
+
+        fn suspend(&mut self, id: u32) -> &mut Self {
+            assert!(self.state.suspend(JobId(id), &mut self.queue));
+            self
+        }
+
+        /// A tick decide on the current state, then the policy's answer
+        /// for the next tick that can act.
+        fn tick(&self, policy: &mut SelectiveSuspension) -> (Vec<Action>, Option<SimTime>) {
+            let (trace, metrics) = (TraceCtx::disabled(), TelemetryCtx::disabled());
+            let admission = AdmissionModel::none();
+            let ctx = DecideCtx {
+                arrivals: &[],
+                tick: true,
+                failures: &[],
+                repairs: &[],
+                trace: &trace,
+                metrics: &metrics,
+                reference: false,
+                admission: &admission,
+            };
+            let mut actions = Vec::new();
+            policy.decide(&self.state, &ctx, &mut actions);
+            (actions, policy.next_tick_action(&self.state))
+        }
+    }
+
+    #[test]
+    fn width_blocked_qualification_certifies_a_future_tick() {
+        // B (4p, xf 1.01) and C (4p, xf 1.5) fill the machine; D (1p,
+        // est 60) arrives at 110. By 180 D reaches 1.5 × xf(B) but the
+        // width rule (4 > 2 × 1) keeps B, so the tick is a no-op, and
+        // nothing changes until D reaches 1.5 × xf(C) = 2.25 at 185.
+        let jobs = vec![
+            Job::new(0, 0, 10_000, 10_000, 4),
+            Job::new(1, 0, 200, 200, 4),
+            Job::new(2, 0, 60, 60, 1),
+        ];
+        let mut b = Bench::new(jobs, 8);
+        b.at(0)
+            .arrive(0)
+            .arrive(1)
+            .at(100)
+            .start(0, 0..4)
+            .start(1, 4..8);
+        b.at(110).arrive(2).at(180);
+        let mut ss = SelectiveSuspension::ss(1.5);
+        assert!(b.state.xfactor(JobId(2)) >= 1.5 * b.state.xfactor(JobId(0)));
+        assert_eq!(
+            ss.next_tick_action(&b.state),
+            Some(b.state.now()),
+            "unsettled, a qualified job may preempt now"
+        );
+        let (actions, next) = b.tick(&mut ss);
+        assert!(actions.is_empty(), "the width rule blocks both victims");
+        let next = next.expect("C's bar is still ahead").secs();
+        assert!((181..=185).contains(&next), "got {next}");
+        // Past every bar, with nothing to overtake, no tick can act.
+        b.at(240);
+        assert_eq!(b.tick(&mut ss), (Vec::new(), None));
+    }
+
+    #[test]
+    fn overtaking_a_pinned_claim_certifies_the_preemption_it_enables() {
+        // S (4p, est 1 000) ran on {0..3} from 1 980 and was suspended at
+        // 2 100, when V (2p) and U (2p) took its claim and W (4p) held
+        // {4..7}. F (1p, est 60) arrives at 2 100. By 2 220 F qualifies
+        // against V, but V sits inside S's claim, which blocks F while S
+        // ranks above it, and S cannot re-enter past U. F overtakes S at
+        // 2 226.4, and then V's processors count.
+        let jobs = vec![
+            Job::new(0, 0, 1_000, 1_000, 4),     // S
+            Job::new(1, 0, 10_000, 10_000, 2),   // V
+            Job::new(2, 0, 1_000, 1_000, 2),     // U
+            Job::new(3, 0, 100_000, 100_000, 4), // W
+            Job::new(4, 0, 60, 60, 1),           // F
+        ];
+        let mut b = Bench::new(jobs, 8);
+        b.at(0).arrive(0).arrive(1).arrive(2).arrive(3);
+        b.at(1_980).start(0, 0..4).start(3, 4..8);
+        b.at(2_100)
+            .suspend(0)
+            .start(1, 0..2)
+            .start(2, 2..4)
+            .arrive(4);
+        b.at(2_220);
+        let mut ss = SelectiveSuspension::ss(2.0);
+        let (actions, next) = b.tick(&mut ss);
+        assert!(actions.is_empty(), "V's processors are S's claim");
+        let next = next.expect("F overtakes S").secs();
+        assert!((2_221..=2_226).contains(&next), "got {next}");
+        // The early answer is an exact re-check ...
+        b.at(next);
+        assert!(b.tick(&mut ss).0.is_empty());
+        // ... and once F is ahead of S, it preempts V.
+        b.at(2_227);
+        let (actions, _) = b.tick(&mut ss);
+        assert_eq!(actions.len(), 2, "{actions:?}");
+        assert_eq!(actions[0], Action::Suspend(JobId(1)));
+        assert!(matches!(actions[1], Action::StartOn(JobId(4), _)));
     }
 
     #[test]

@@ -434,6 +434,16 @@ impl SimState {
         self.jobs[i].phase = phase;
     }
 
+    /// Deliver a job's arrival at the current instant: it joins the queue
+    /// and its wait clock starts.
+    pub(crate) fn arrive(&mut self, id: JobId) {
+        let i = self.slot(id);
+        debug_assert_eq!(self.jobs[i].phase, Phase::NotArrived);
+        self.set_phase(id, Phase::Queued);
+        self.hot.wait_since[i] = self.now;
+        self.queued.push(id);
+    }
+
     /// Total wait of slot `i` up to the current instant.
     #[inline]
     pub(crate) fn wait_at_slot(&self, i: usize) -> Secs {

@@ -3,7 +3,9 @@
 //! *bit-identical* to the naive path it replaced — same traces, same
 //! simulation results, same per-cell statistics.
 
-use selective_preemption::core::sim::Simulator;
+use selective_preemption::cluster::{SpeedMap, SpeedSpec};
+use selective_preemption::core::sched::{SelectiveSuspension, SsConfig};
+use selective_preemption::core::sim::{Simulator, DEFAULT_TICK_PERIOD};
 use selective_preemption::core::sweep::{run_sweep, CellStats, RunSummary, SweepSpec};
 use selective_preemption::prelude::*;
 use sps_simcore::Watchdog;
@@ -254,43 +256,9 @@ fn tick_elision_preserves_simulation_results() {
                     .with_overhead(OverheadModel::paper());
                 let (with, without) = (elided_run(&cfg, true), elided_run(&cfg, false));
                 let label = format!("{} on {} at load {load}", spec, system.name);
-                assert_eq!(with.makespan, without.makespan, "{label}: makespan");
-                assert_eq!(
-                    with.preemptions, without.preemptions,
-                    "{label}: preemptions"
-                );
-                assert_eq!(
-                    with.dropped_actions, without.dropped_actions,
-                    "{label}: dropped actions"
-                );
-                assert_eq!(
-                    with.utilization.to_bits(),
-                    without.utilization.to_bits(),
-                    "{label}: utilization"
-                );
-                assert_eq!(with.outcomes.len(), without.outcomes.len(), "{label}: jobs");
-                for (a, b) in with.outcomes.iter().zip(&without.outcomes) {
-                    assert_eq!(
-                        (a.id, a.first_start, a.completion, a.suspensions),
-                        (b.id, b.first_start, b.completion, b.suspensions),
-                        "{label}: outcome {:?}",
-                        a.id
-                    );
-                }
-                // Elision only ever removes work: never more events than
-                // the un-elided run, and strictly fewer for the certified
-                // tick policies (IS, SS, TSS) at either load.
-                assert!(
-                    with.kernel.events <= without.kernel.events,
-                    "{label}: elision added events"
-                );
                 let policy = kind.build();
-                if policy.quiescent_noop() && policy.needs_tick() {
-                    assert!(
-                        with.kernel.events < without.kernel.events,
-                        "{label}: no ticks elided"
-                    );
-                }
+                let certified = policy.quiescent_noop() && policy.needs_tick();
+                assert_elision_exact(&label, &with, &without, certified);
             }
         }
     }
@@ -307,6 +275,133 @@ fn elided_run(cfg: &ExperimentConfig, elide: bool) -> SimResult {
     .with_watchdog(Watchdog::generous())
     .with_tick_elision(elide)
     .run()
+}
+
+/// The elided run `with` schedules exactly as the un-elided `without`.
+/// Elision only ever removes work: never more events than the un-elided
+/// run, and strictly fewer for the `certified` tick policies (IS, SS,
+/// TSS).
+fn assert_elision_exact(label: &str, with: &SimResult, without: &SimResult, certified: bool) {
+    assert_eq!(with.makespan, without.makespan, "{label}: makespan");
+    assert_eq!(
+        with.preemptions, without.preemptions,
+        "{label}: preemptions"
+    );
+    assert_eq!(
+        with.dropped_actions, without.dropped_actions,
+        "{label}: dropped actions"
+    );
+    assert_eq!(
+        with.utilization.to_bits(),
+        without.utilization.to_bits(),
+        "{label}: utilization"
+    );
+    assert_eq!(with.outcomes.len(), without.outcomes.len(), "{label}: jobs");
+    for (a, b) in with.outcomes.iter().zip(&without.outcomes) {
+        assert_eq!(
+            (a.id, a.first_start, a.completion, a.suspensions),
+            (b.id, b.first_start, b.completion, b.suspensions),
+            "{label}: outcome {:?}",
+            a.id
+        );
+    }
+    assert!(
+        with.kernel.events <= without.kernel.events,
+        "{label}: elision added events"
+    );
+    if certified {
+        assert!(
+            with.kernel.events < without.kernel.events,
+            "{label}: no ticks elided"
+        );
+    }
+}
+
+/// The SS ablations no scheduler spec names take the certificate's other
+/// branches: with migration no suspended claim is pinned, without the
+/// width rule every qualified victim counts, and TSS on mixed processor
+/// speeds places speed-aware. Each elides exactly.
+#[test]
+fn tick_elision_preserves_ss_ablations() {
+    let migration = SsConfig {
+        migration: true,
+        ..SsConfig::ss(2.0)
+    };
+    let no_width_rule = SsConfig {
+        width_restriction: false,
+        ..SsConfig::ss(1.5)
+    };
+    let speeds: SpeedSpec = "lognormal:7".parse().expect("speed spec parses");
+    let ablations = [
+        ("migration", migration, None),
+        ("no width rule", no_width_rule, None),
+        (
+            "tss:2 on lognormal speeds",
+            SsConfig::tss(2.0),
+            Some(speeds),
+        ),
+    ];
+    for load in [0.5, 1.3] {
+        for system in [SDSC, CTC] {
+            let trace = ExperimentConfig::new(system, SchedulerKind::Ss { sf: 2.0 })
+                .with_jobs(180)
+                .with_seed(9)
+                .with_load_factor(load)
+                .trace();
+            for (name, cfg, speeds) in &ablations {
+                let run = |elide: bool| {
+                    let sim = Simulator::with_overhead_and_tick(
+                        trace.clone(),
+                        system.procs,
+                        Box::new(SelectiveSuspension::new(cfg.clone())),
+                        OverheadModel::paper(),
+                        DEFAULT_TICK_PERIOD,
+                    )
+                    .with_watchdog(Watchdog::generous())
+                    .with_tick_elision(elide);
+                    match speeds {
+                        Some(spec) => sim.with_speed(SpeedMap::from_spec(spec, system.procs)),
+                        None => sim,
+                    }
+                    .run()
+                };
+                let label = format!("{name} on {} at load {load}", system.name);
+                assert_elision_exact(&label, &run(true), &run(false), true);
+            }
+        }
+    }
+}
+
+/// Paper scale: the benchmark's `paper_grid` schedulers at loads 0.7, 1.0
+/// and 1.3 on two seeds of 5 000-job SDSC traces, where the certificate
+/// skips the long stretches of no-op ticks small runs never reach. Run it
+/// in release: `cargo test --release --test sweep_equivalence -- --ignored`.
+#[test]
+#[ignore = "paper scale; run in release with --ignored"]
+fn tick_elision_preserves_the_paper_grid_at_scale() {
+    let specs = [
+        "ns", "is", "ss:1.5", "ss:2", "ss:5", "tss:1.5", "tss:2", "tss:5",
+    ];
+    for spec in specs {
+        for load in [0.7, 1.0, 1.3] {
+            for seed in [1, 2] {
+                let kind: SchedulerKind = spec.parse().expect("spec parses");
+                let cfg = ExperimentConfig::new(SDSC, kind)
+                    .with_jobs(5_000)
+                    .with_seed(seed)
+                    .with_load_factor(load);
+                let label = format!("{spec} at load {load}, seed {seed}");
+                let policy = kind.build();
+                let certified = policy.quiescent_noop() && policy.needs_tick();
+                assert_elision_exact(
+                    &label,
+                    &elided_run(&cfg, true),
+                    &elided_run(&cfg, false),
+                    certified,
+                );
+            }
+        }
+    }
 }
 
 /// `KernelStats::ticks_elided` counts exactly the ticks elision skipped:
