@@ -5,9 +5,8 @@
 //! bit-identical per-cell statistics; only the machinery differs.
 //!
 //! * **before** — what a batch looked like pre-sweep-engine: every run
-//!   regenerates its own trace, events flow through the binary-heap
-//!   queue, the simulator processes every idle tick (no quiescent
-//!   elision), every decide runs the policies' exhaustive reference scan
+//!   regenerates its own trace, the simulator processes every idle tick
+//!   (no tick elision), every decide runs the policies' exhaustive reference scan
 //!   (no fast-path certifications), and every run is folded into the
 //!   full result record of the old batch path — a cloned config plus
 //!   three per-category reports next to the raw `SimResult` — all
@@ -93,9 +92,9 @@ struct Retained {
     reports: [CategoryReport; 3],
 }
 
-/// The naive path: regenerate per run, simulate with idle-tick elision
-/// off and reference decides on the heap-backed queue, build and retain
-/// the old full result record for every run until the end, fold last.
+/// The naive path: regenerate per run, simulate with tick elision off
+/// and reference decides, build and retain the old full result record
+/// for every run until the end, fold last.
 fn run_before(spec: &SweepSpec) -> (Vec<CellStats>, u64) {
     let configs = spec.expand();
     let mut retained: Vec<Retained> = Vec::with_capacity(configs.len());
@@ -110,7 +109,6 @@ fn run_before(spec: &SweepSpec) -> (Vec<CellStats>, u64) {
         )
         .with_faults(cfg.faults)
         .with_watchdog(Watchdog::generous())
-        .with_heap_queue()
         .with_tick_elision(false)
         .with_reference_decides();
         let res = sim.run();

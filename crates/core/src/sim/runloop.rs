@@ -268,12 +268,6 @@ pub struct Simulator<S: TraceSink = NullSink, T: TelemetrySink = NullTelemetry> 
     /// [`Simulator::with_tick_elision`] turns it off to reproduce the
     /// every-tick schedule event-for-event (benches, A/B comparisons).
     elide_idle: bool,
-    /// Use the reference [`EventQueue`] binary-heap backend instead of
-    /// the calendar queue. Both honor the same `(time, class, seq)` total
-    /// order, so results are bit-identical; the heap exists for
-    /// differential testing and as the faithful pre-calendar baseline in
-    /// `sweep_throughput`.
-    heap_queue: bool,
     /// Pass `reference: true` to every decide, disabling the policies'
     /// provably-equivalent fast paths (see [`DecideCtx::reference`]).
     reference_decides: bool,
@@ -398,7 +392,6 @@ impl<S: TraceSink> Simulator<S> {
             watchdog: Watchdog::none(),
             decide_calls: 0,
             elide_idle: true,
-            heap_queue: false,
             reference_decides: false,
             sink,
             telemetry: NullTelemetry,
@@ -453,7 +446,6 @@ impl<S: TraceSink> Simulator<S> {
             watchdog: self.watchdog,
             decide_calls: self.decide_calls,
             elide_idle: self.elide_idle,
-            heap_queue: self.heap_queue,
             reference_decides: self.reference_decides,
             sink: self.sink,
             telemetry,
@@ -506,23 +498,13 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
         self
     }
 
-    /// Run on the binary-heap event queue instead of the calendar queue
-    /// (builder style, default calendar). The two backends share one
-    /// deterministic ordering contract, so every output is bit-identical;
-    /// this knob exists for differential tests and for benchmarks that
-    /// need the pre-calendar engine as their baseline.
-    pub fn with_heap_queue(mut self) -> Self {
-        self.heap_queue = true;
-        self
-    }
-
     /// Run every decide through the policies' exhaustive reference scan
     /// (builder style, default off). Fast paths like the SS/IS no-op tick
     /// certifications are provably decision-identical, so this changes
     /// only the work per decide, never the schedule — the differential
-    /// tests pin it. Used with [`Simulator::with_heap_queue`] and
-    /// [`Simulator::with_tick_elision`]`(false)` to reconstruct the
-    /// pre-sweep-engine execution profile as a benchmark baseline.
+    /// tests pin it. Used with [`Simulator::with_tick_elision`]`(false)`
+    /// to reconstruct the pre-sweep-engine execution profile as a
+    /// benchmark baseline.
     pub fn with_reference_decides(mut self) -> Self {
         self.reference_decides = true;
         self
@@ -673,6 +655,14 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
             && self.state.index.draining_jobs() == 0
     }
 
+    /// Whether the batch delivered at `now` holds nothing but stale ticks:
+    /// ones [`Ticker::arm_not_before`] superseded, which [`Ticker::fired`]
+    /// would reject.
+    fn stale_ticks_only(&self, now: SimTime, batch: &[Event]) -> bool {
+        self.ticker.as_ref().is_some_and(|t| !t.is_armed_at(now))
+            && batch.iter().all(|ev| matches!(ev, Event::Tick))
+    }
+
     /// Whether tick elision applies to this run: opted in, the policy
     /// certifies quiescent no-ops, and no trace sink. Traced runs keep
     /// every tick because the trace records them: a `Gauge` record per
@@ -689,17 +679,10 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
     /// [`JobSource`] and [`RunUntil::SimTime`]/[`RunUntil::Jobs`] this is
     /// the open-system steady-state run.
     pub fn run(mut self) -> SimResult {
-        let capacity = match &self.source {
-            // Lazy mode: size for the source's hint when it has one (a
-            // finite replay), else a reasonable open-system default.
-            Some(src) => src.remaining().unwrap_or(4_096).max(64) * 2,
-            None => self.state.jobs.len() * 2,
-        };
-        let mut queue = if self.heap_queue {
-            EventQueue::with_capacity(capacity)
-        } else {
-            EventQueue::calendar_with_capacity(capacity)
-        };
+        // Eager runs queue every arrival up front; lazy runs keep one
+        // arrival group queued, so their heap starts empty and grows to
+        // the few dozen to few hundred events a run holds at once.
+        let mut queue = EventQueue::with_capacity(self.state.jobs.len());
         if self.source.is_some() {
             // Lazy mode: materialize only the first arrival group; the
             // batch handler pulls the next group as each one is delivered.
@@ -1038,17 +1021,16 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
     #[cold]
     #[inline(never)]
     fn sample_instant(&mut self, t: i64, queue_events: u32) {
+        // Free processors some suspended job claims for its re-entry.
         let mut claimed_idle = 0;
         if !self.state.suspended.is_empty() {
-            let mut claimed = sps_cluster::ProcSet::empty(self.state.total_procs());
-            for i in 0..self.state.suspended.len() {
-                let id = self.state.suspended[i];
-                if let Some(set) = self.state.assigned_set(id) {
-                    claimed.union_with(set);
-                }
-            }
-            claimed.intersect_with(self.state.free_set());
-            claimed_idle = claimed.count();
+            let index = &self.state.index;
+            claimed_idle = self
+                .state
+                .free_set()
+                .iter()
+                .filter(|&p| !index.claims(p).is_empty())
+                .count() as u32;
         }
         self.tel_claimed_idle = claimed_idle;
         let threshold = self.telemetry.starvation_threshold();
@@ -1308,14 +1290,19 @@ impl<S: TraceSink, T: TelemetrySink> Simulator<S, T> {
         }
         // Jobs stranded on p whose whole set is up again stop being
         // stranded (they still wait for the scheduler to resume them).
-        let down = self.state.cluster.down_set().clone();
-        for i in 0..self.state.jobs.len() {
-            let rt = &mut self.state.jobs[i];
-            if let Some(since) = rt.stranded_since {
-                if rt.assigned.as_ref().is_some_and(|s| s.is_disjoint(&down)) {
-                    rt.stranded_since = None;
-                    self.state.fault_stats.stranded_secs += now - since;
-                }
+        // Only suspended jobs are ever stranded, and they keep claiming
+        // their set until they resume or die, so p's claims list holds
+        // every job this repair can release.
+        for id in self.state.suspended_on(p) {
+            let i = self.state.slot(id);
+            let rt = &self.state.jobs[i];
+            let Some(since) = rt.stranded_since else {
+                continue;
+            };
+            let down = self.state.cluster.down_set();
+            if rt.assigned.as_ref().is_some_and(|s| s.is_disjoint(down)) {
+                self.state.jobs[i].stranded_since = None;
+                self.state.fault_stats.stranded_secs += now - since;
             }
         }
         if let Some(dt) = next_failure_in {
@@ -1366,13 +1353,22 @@ impl<S: TraceSink, T: TelemetrySink> Simulation for Simulator<S, T> {
         batch: &mut Vec<Event>,
         queue: &mut EventQueue<Event>,
     ) {
+        let elidable = self.elision_active();
+        if elidable && self.stale_ticks_only(now, batch) {
+            // Only ticks an earlier armed one superseded: the ticker is
+            // now armed later or not at all, which already certifies this
+            // instant a no-op. Elide it like any skipped tick — when the
+            // full schedule ticks here, the next delivered instant's
+            // shadow catch-up counts it and telemetry replays it.
+            batch.clear();
+            return;
+        }
         self.state.now = now;
         self.arrivals_now.clear();
         self.failures_now.clear();
         self.repairs_now.clear();
         let tel = self.telemetry.enabled();
         let prof = self.profiler.is_some();
-        let elidable = self.elision_active();
         let mut tick = false;
         // Elided runs take the tick flag from the replayed every-period
         // schedule, not from the ticks actually armed: an arrival on a

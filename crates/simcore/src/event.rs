@@ -45,6 +45,20 @@ impl EventClass {
     pub const fn rank(self) -> u8 {
         self as u8
     }
+
+    /// The class with delivery rank `rank`. Panics on a rank no class has.
+    #[inline]
+    pub const fn from_rank(rank: u8) -> Self {
+        match rank {
+            0 => EventClass::Completion,
+            1 => EventClass::ProcsFreed,
+            2 => EventClass::Fault,
+            3 => EventClass::Arrival,
+            4 => EventClass::Tick,
+            5 => EventClass::Epilogue,
+            _ => panic!("no event class has this rank"),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -56,6 +70,13 @@ mod tests {
         let ranks: Vec<u8> = EventClass::ALL.iter().map(|c| c.rank()).collect();
         for w in ranks.windows(2) {
             assert!(w[0] < w[1], "ranks must be strictly increasing: {ranks:?}");
+        }
+    }
+
+    #[test]
+    fn ranks_round_trip() {
+        for c in EventClass::ALL {
+            assert_eq!(EventClass::from_rank(c.rank()), c);
         }
     }
 

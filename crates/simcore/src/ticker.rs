@@ -84,6 +84,13 @@ impl Ticker {
         self.pending.is_some()
     }
 
+    /// Whether the outstanding tick is the one at `at`: a tick event
+    /// delivered at `at` is live, and [`Ticker::fired`] would accept it,
+    /// exactly when this holds.
+    pub fn is_armed_at(&self, at: SimTime) -> bool {
+        self.pending == Some(at)
+    }
+
     /// First multiple of the period strictly after `now`.
     fn next_after(&self, now: SimTime) -> SimTime {
         let p = self.period;
@@ -292,9 +299,11 @@ mod tests {
         // A nearer target supersedes the outstanding tick.
         assert_eq!(k.arm_not_before(t(130)), Some(t(180)));
         assert!(k.fired(t(180)));
+        assert!(!k.is_armed_at(t(1_200)));
         assert!(!k.fired(t(1_200)), "the superseded tick is stale");
         // Re-arming on the superseded instant revives it exactly once.
         assert_eq!(k.arm_not_before(t(1_200)), Some(t(1_200)));
+        assert!(k.is_armed_at(t(1_200)));
         assert!(k.fired(t(1_200)));
         assert!(!k.fired(t(1_200)));
     }

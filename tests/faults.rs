@@ -9,7 +9,7 @@
 
 use selective_preemption::prelude::*;
 use selective_preemption::simcore::Watchdog;
-use selective_preemption::trace::{validate_records, ReplayOptions};
+use selective_preemption::trace::{validate_records, JobEvent, ProcEvent, ReplayOptions};
 use selective_preemption::workload::traces::SDSC;
 use sps_core::policy::{Action, DecideCtx, Policy};
 use sps_core::SimState;
@@ -275,4 +275,84 @@ fn event_budget_also_trips_the_watchdog() {
     });
     let result = sim.run();
     assert_eq!(result.status, RunStatus::Aborted(AbortReason::EventLimit));
+}
+
+/// Repairs that released one of a suspended job's processors while
+/// another of its processors was still down, split by whether the
+/// repaired processor was the lower- or the higher-numbered of the two.
+/// Such a job stays stranded until its second processor is back.
+fn double_strandings(records: &[TraceRecord]) -> (usize, usize) {
+    let mut down = std::collections::BTreeSet::new();
+    let mut claims: std::collections::BTreeMap<u32, Vec<u32>> = Default::default();
+    let (mut low_first, mut high_first) = (0, 0);
+    for r in records {
+        match r {
+            TraceRecord::Proc { proc, event, .. } => {
+                if *event == ProcEvent::Failed {
+                    down.insert(*proc);
+                    continue;
+                }
+                down.remove(proc);
+                for set in claims.values().filter(|s| s.contains(proc)) {
+                    if let Some(other) = set.iter().find(|q| down.contains(*q)) {
+                        if proc < other {
+                            low_first += 1;
+                        } else {
+                            high_first += 1;
+                        }
+                    }
+                }
+            }
+            TraceRecord::Job {
+                job, event, procs, ..
+            } => match event {
+                JobEvent::Suspend => {
+                    claims.insert(*job, procs.clone().expect("suspend names its set"));
+                }
+                JobEvent::Restart | JobEvent::Kill | JobEvent::Complete => {
+                    claims.remove(job);
+                }
+                _ => {}
+            },
+            _ => {}
+        }
+    }
+    (low_first, high_first)
+}
+
+#[test]
+fn wait_for_repair_stranded_seconds_are_pinned() {
+    // Stranded job-seconds of seeded WaitForRepair runs, pinned to the
+    // values of the job-table scan the claims-list walk replaced. Long
+    // repairs make failures overlap, so some suspended jobs are stranded
+    // on two processors at once and released only by the later repair,
+    // whichever of the two that is.
+    let cases = [
+        (SchedulerKind::Ss { sf: 2.0 }, 2_000_000, 278_764),
+        (SchedulerKind::Tss { sf: 2.0 }, 2_000_000, 278_764),
+        (SchedulerKind::ImmediateService, 2_000_000, 1_876_841),
+        (SchedulerKind::Ss { sf: 2.0 }, 1_000_000, 1_570_014),
+    ];
+    let (mut low_first, mut high_first) = (0, 0);
+    for (kind, mtbf, stranded) in cases {
+        let cfg = base(kind).with_faults(
+            FaultModel::proc_faults(mtbf, 40_000, 29).with_recovery(RecoveryPolicy::WaitForRepair),
+        );
+        let plain = cfg.run();
+        let mut sink = MemorySink::new();
+        let traced = cfg.runner().trace_sink(&mut sink).run();
+        assert_eq!(plain.sim.status, RunStatus::Completed, "{kind}");
+        assert_eq!(
+            plain.sim.faults.stranded_secs, stranded,
+            "{kind} mtbf {mtbf}"
+        );
+        assert_eq!(traced.sim.faults.stranded_secs, stranded, "{kind} traced");
+        let (low, high) = double_strandings(sink.records());
+        low_first += low;
+        high_first += high;
+    }
+    assert!(
+        low_first > 0 && high_first > 0,
+        "double strandings: {low_first} released low first, {high_first} high first"
+    );
 }

@@ -9,6 +9,10 @@
 //! wrapper policy invokes it at every decision instant, so the checks run
 //! against the machine state produced by every prefix of the event
 //! sequence, not just the final state.
+//!
+//! The event queue under all of it is checked the same way: a seeded
+//! interleaving of pushes, peeks, pops and batch pops must match a naive
+//! stable-sort oracle step for step.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -16,6 +20,7 @@ use std::rc::Rc;
 use selective_preemption::prelude::*;
 use sps_core::policy::{Action, DecideCtx, Policy};
 use sps_core::sim::SimState;
+use sps_simcore::{EventClass, EventQueue, SimRng};
 use sps_workload::traces::SDSC;
 
 /// Decorator that validates every kernel invariant before each decision.
@@ -315,5 +320,95 @@ fn invariants_hold_under_checkpoint_mode_schedulers() {
         faults,
         PreemptionMode::Checkpoint,
         true,
+    );
+}
+
+/// An event time drawn to hit the queue's edge cases: ties with the last
+/// popped instant, pushes earlier than it, time 0, negative times (the
+/// key's sign flip) and times next to both ends of the `i64` range.
+fn oracle_time(rng: &mut SimRng, last_pop: i64) -> i64 {
+    match rng.index(8) {
+        0 => 0,
+        1 => last_pop,
+        2 => last_pop.saturating_add(rng.range_i64(0, 180)),
+        3 => last_pop.saturating_sub(rng.range_i64(1, 180)),
+        4 => rng.range_i64(-600, 600),
+        5 => i64::MAX - rng.range_i64(0, 2),
+        6 => i64::MIN + rng.range_i64(0, 2),
+        _ => rng.range_i64(0, 20) * 60,
+    }
+}
+
+/// The event queue against a naive oracle: the pending pushes, stably
+/// sorted by `(time, class rank)`, so push order breaks the remaining
+/// ties. Every `push`/`peek`/`pop`/`pop_batch` of a seeded random
+/// interleaving must agree with it.
+#[test]
+fn event_queue_matches_a_stable_sort_oracle() {
+    let mut batches = 0;
+    for seed in 0..64u64 {
+        let mut rng = SimRng::seed_from_u64(0x0E0E_0000 ^ seed);
+        let mut queue = EventQueue::new();
+        // (time, class, payload); the payload is the push index.
+        let mut pending: Vec<(i64, EventClass, usize)> = Vec::new();
+        let mut pushed = 0usize;
+        let mut last_pop = 0i64;
+        let sorted = |pending: &[(i64, EventClass, usize)]| {
+            let mut order = pending.to_vec();
+            order.sort_by_key(|&(t, c, _)| (t, c.rank()));
+            order
+        };
+        for step in 0..800 {
+            let ctx = format!("seed {seed} step {step}");
+            match rng.index(10) {
+                0..=5 => {
+                    let t = oracle_time(&mut rng, last_pop);
+                    let class = EventClass::ALL[rng.index(EventClass::ALL.len())];
+                    queue.push(SimTime::new(t), class, pushed);
+                    pending.push((t, class, pushed));
+                    pushed += 1;
+                }
+                6 | 7 => {
+                    let want = sorted(&pending).first().copied();
+                    assert_eq!(
+                        queue.peek(),
+                        want.map(|(t, c, _)| (SimTime::new(t), c)),
+                        "{ctx}: peek"
+                    );
+                    let got = queue.pop().map(|(t, c, p)| (t.secs(), c, p));
+                    assert_eq!(got, want, "{ctx}: pop");
+                    if let Some((t, _, p)) = got {
+                        pending.retain(|e| e.2 != p);
+                        last_pop = t;
+                    }
+                }
+                _ => {
+                    let order = sorted(&pending);
+                    let mut batch = Vec::new();
+                    let instant = queue.pop_batch(&mut batch);
+                    let Some(&(t, _, _)) = order.first() else {
+                        assert_eq!(instant, None, "{ctx}: empty pop_batch");
+                        assert!(batch.is_empty(), "{ctx}: empty batch");
+                        continue;
+                    };
+                    let want: Vec<usize> =
+                        order.iter().take_while(|e| e.0 == t).map(|e| e.2).collect();
+                    assert_eq!(instant, Some(SimTime::new(t)), "{ctx}: batch instant");
+                    assert_eq!(batch, want, "{ctx}: batch");
+                    pending.retain(|e| !want.contains(&e.2));
+                    last_pop = t;
+                    batches += usize::from(want.len() > 1);
+                }
+            }
+            assert_eq!(queue.len(), pending.len(), "{ctx}: len");
+            assert_eq!(queue.is_empty(), pending.is_empty(), "{ctx}: is_empty");
+        }
+        let rest: Vec<usize> = sorted(&pending).iter().map(|e| e.2).collect();
+        let drained: Vec<usize> = std::iter::from_fn(|| queue.pop()).map(|e| e.2).collect();
+        assert_eq!(drained, rest, "seed {seed}: drain");
+    }
+    assert!(
+        batches > 100,
+        "only {batches} multi-event batches exercised"
     );
 }
